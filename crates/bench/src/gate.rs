@@ -23,8 +23,8 @@
 //!   1 — Figs. 1/2);
 //! - every run carries a populated hardware-counter set;
 //! - when the report carries a tier speed matrix (`sim_speed`, schema
-//!   v4), the fused execution tier is no slower than the interpreter on
-//!   every benchmark.
+//!   v4), the warp engine (decoded tier) is no slower than the
+//!   interpreter on every benchmark.
 //!
 //! # Fault-skipped runs vs regressions
 //!
@@ -242,15 +242,15 @@ pub fn check_with_cache_floor(report: &BenchReport, min_cache_hits: Option<usize
         }
     }
 
-    // Schema v4: when the report carries a tier speed matrix, the fused
-    // tier must not lose to the interpreter anywhere — that would mean
-    // the compiled hot path regressed into pure overhead.
+    // Schema v4: when the report carries a tier speed matrix, the warp
+    // engine must not lose to the interpreter anywhere — that would mean
+    // the hot path regressed into pure overhead.
     for s in &report.sim_speed {
-        if s.fused_ns > s.interp_ns {
+        if s.decoded_ns > s.interp_ns {
             res.errors.push(format!(
-                "{}: fused tier slower than interpreter ({:.3} ms vs {:.3} ms)",
+                "{}: engine slower than interpreter ({:.3} ms vs {:.3} ms)",
                 s.bench,
-                s.fused_ns as f64 / 1e6,
+                s.decoded_ns as f64 / 1e6,
                 s.interp_ns as f64 / 1e6
             ));
         }
@@ -472,30 +472,25 @@ mod tests {
     }
 
     #[test]
-    fn a_slow_fused_tier_fails_the_gate() {
+    fn a_slow_engine_fails_the_gate() {
         let mut r = passing_report();
         r.sim_speed = vec![
             gpucmp_trace::SimSpeed {
                 bench: "MxM".into(),
                 interp_ns: 9_000_000,
-                decoded_ns: 6_000_000,
-                fused_ns: 3_000_000,
+                decoded_ns: 3_000_000,
             },
             gpucmp_trace::SimSpeed {
                 bench: "BFS".into(),
                 interp_ns: 1_000_000,
-                decoded_ns: 900_000,
-                fused_ns: 1_500_000,
+                decoded_ns: 1_000_001,
             },
         ];
         let res = check(&r);
         assert_eq!(res.exit_code(), 1);
-        assert!(res
-            .errors
-            .iter()
-            .any(|e| e.contains("BFS: fused tier slower")));
-        // Fix the slow row and the gate passes again.
-        r.sim_speed[1].fused_ns = 800_000;
+        assert!(res.errors.iter().any(|e| e.contains("BFS: engine slower")));
+        // Fix the slow row and the gate passes again; a tie is no loss.
+        r.sim_speed[1].decoded_ns = 1_000_000;
         assert_eq!(check(&r).exit_code(), 0);
     }
 

@@ -233,7 +233,7 @@ impl Session {
     ///
     /// The memcheck sanitizer starts on if the `GPUCMP_MEMCHECK`
     /// environment variable is set to anything but `0`/`false`, and the
-    /// execution tier comes from `GPUCMP_SIM_TIER` (default: fused).
+    /// execution tier comes from `GPUCMP_SIM_TIER` (default: decoded).
     pub fn new(device: DeviceSpec) -> Self {
         Session::with_arena(device, DEFAULT_ARENA_BYTES)
     }
@@ -598,6 +598,19 @@ impl Session {
         Ok(end)
     }
 
+    /// Drop the timeline record of an op whose event the caller is about to
+    /// discard (the synchronous sugar's own, already synchronised), so a long
+    /// session does not grow one entry per operation.
+    pub(crate) fn release_event(&mut self, event: Event) {
+        self.timeline.forget(event.stream_id(), event.seq());
+    }
+
+    /// Committed ops whose completion times the timeline still holds: the
+    /// ops an [`Event`] may still name.
+    pub fn recorded_ops(&self) -> usize {
+        self.timeline.recorded_ops()
+    }
+
     /// Block until everything enqueued on `stream` has completed. Returns
     /// the stream's completion time.
     pub fn stream_synchronize(&mut self, stream: Stream) -> Result<f64, RtError> {
@@ -658,7 +671,7 @@ impl Session {
     }
 
     /// Kernel decodes performed so far (code-cache misses), cumulative
-    /// across resets. On the decoded and fused tiers this stays at one per
+    /// across resets. On the decoded tier (the engine) this stays at one per
     /// *distinct* kernel per context generation however many times it is
     /// rebuilt or launched; the interp tier never decodes.
     pub fn decode_count(&self) -> u64 {
@@ -789,6 +802,7 @@ pub trait Gpu {
     fn h2d(&mut self, ptr: DevPtr, data: &[u8]) -> Result<(), RtError> {
         let ev = self.enqueue_h2d(Stream::DEFAULT, ptr, data)?;
         self.session_mut().event_synchronize(ev)?;
+        self.session_mut().release_event(ev);
         Ok(())
     }
 
@@ -831,6 +845,7 @@ pub trait Gpu {
     fn d2h(&mut self, ptr: DevPtr, data: &mut [u8]) -> Result<(), RtError> {
         let ev = self.enqueue_d2h(Stream::DEFAULT, ptr, data.len() as u64)?;
         let staged = self.session_mut().take_readback(ev)?;
+        self.session_mut().release_event(ev);
         data.copy_from_slice(&staged);
         Ok(())
     }
@@ -1130,6 +1145,7 @@ pub trait Gpu {
     ) -> Result<LaunchOutcome, RtError> {
         let (ev, outcome) = self.enqueue_launch_config(Stream::DEFAULT, h, cfg)?;
         self.session_mut().event_synchronize(ev)?;
+        self.session_mut().release_event(ev);
         Ok(outcome)
     }
 }

@@ -347,3 +347,37 @@ fn sync_api_is_sugar_over_the_default_stream() {
     assert_eq!(o1, o2);
     assert_eq!(t1.to_bits(), t2.to_bits(), "{t1} vs {t2}");
 }
+
+#[test]
+fn sync_sugar_keeps_the_timeline_bounded() {
+    // The synchronous calls drop their own op's completion record, so a
+    // long-lived session (every server session) holds O(1) timeline
+    // entries; an event the caller holds still resolves to the same time.
+    let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
+    let h = gpu.build(&double_kernel()).unwrap();
+    let a = gpu.alloc::<f32>(32).unwrap();
+    let b = gpu.alloc::<f32>(32).unwrap();
+    let cfg = LaunchConfig::new(1u32, 32u32)
+        .arg_ptr(a)
+        .arg_ptr(b)
+        .arg_i32(32);
+    let (held, _) = gpu.enqueue_launch(Stream::DEFAULT, h, &cfg).unwrap();
+    let held_end = gpu.event_synchronize(held).unwrap();
+    let before = gpu.session().recorded_ops();
+    for i in 0..10_000 {
+        gpu.launch(h, &cfg).unwrap();
+        if i % 1000 == 0 {
+            gpu.h2d_buf(&a, &[i as f32; 32]).unwrap();
+            assert_eq!(
+                gpu.d2h_buf(&b).unwrap()[0],
+                2.0 * (i as f32 - 1000.0).max(0.0)
+            );
+        }
+    }
+    assert_eq!(gpu.session().recorded_ops(), before);
+    assert!(before <= 2, "{before} records before the loop");
+    assert_eq!(
+        gpu.event_synchronize(held).unwrap().to_bits(),
+        held_end.to_bits()
+    );
+}

@@ -70,6 +70,7 @@ pub(crate) fn float_bits(ty: Ty, v: f64) -> u64 {
 }
 
 /// Zero/sign-extend a freshly loaded value of type `ty` into a register.
+#[inline(always)]
 pub(crate) fn load_extend(v: u64, ty: Ty) -> u64 {
     match ty {
         Ty::B8 => v & 0xff,
@@ -80,6 +81,7 @@ pub(crate) fn load_extend(v: u64, ty: Ty) -> u64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn alu1(op: Op1, ty: Ty, v: u64) -> u64 {
     match ty {
         Ty::F32 => {
@@ -130,7 +132,15 @@ pub(crate) fn alu1(op: Op1, ty: Ty, v: u64) -> u64 {
     }
 }
 
+/// The out-of-line copy of [`alu2_inline`], which the interpreter calls:
+/// inlined copies may propagate the other input NaN of two.
+#[inline(never)]
 pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
+    alu2_inline(op, ty, a, b)
+}
+
+#[inline(always)]
+pub(crate) fn alu2_inline(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
     Ok(match ty {
         Ty::F32 => {
             let (x, y) = (f32b(a), f32b(b));
@@ -273,6 +283,7 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
 }
 
 /// and/or/xor/shl/shr on raw bits of the given width.
+#[inline(always)]
 pub(crate) fn int_logic(op: Op2, a: u64, b: u64, width: u32) -> Result<u64, FaultKind> {
     let mask = if width == 64 {
         u64::MAX
@@ -304,7 +315,14 @@ pub(crate) fn int_logic(op: Op2, a: u64, b: u64, width: u32) -> Result<u64, Faul
     Ok(r & mask)
 }
 
+/// The out-of-line copy of [`alu3_inline`] (see [`alu2`]).
+#[inline(never)]
 pub(crate) fn alu3(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
+    alu3_inline(op, ty, a, b, c)
+}
+
+#[inline(always)]
+pub(crate) fn alu3_inline(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
     match ty {
         Ty::F32 => {
             let (x, y, z) = (f32b(a), f32b(b), f32b(c));
@@ -327,6 +345,7 @@ pub(crate) fn alu3(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn compare(cmp: CmpOp, ty: Ty, a: u64, b: u64) -> bool {
     match ty {
         Ty::F32 => {
@@ -387,6 +406,7 @@ pub(crate) fn uint_cmp(cmp: CmpOp, x: u64, y: u64) -> bool {
 }
 
 /// Convert raw bits between scalar types with numeric semantics.
+#[inline(always)]
 pub(crate) fn convert(v: u64, sty: Ty, dty: Ty) -> u64 {
     // Decode source to a numeric domain.
     enum Num {

@@ -115,6 +115,13 @@ impl Cache {
         self.hits = 0;
         self.misses = 0;
     }
+
+    /// Invalidate every line and zero the counters, in place: the cache
+    /// behaves exactly as a freshly built one of the same geometry.
+    pub fn reset(&mut self) {
+        self.invalidate();
+        self.reset_counters();
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +183,10 @@ mod tests {
         let mut c = Cache::new(1024, 64, 4);
         c.access(0);
         c.invalidate();
+        assert_eq!(c.access(0), CacheAccess::Miss);
+        // reset also zeroes the counters: the cache is as freshly built
+        c.reset();
+        assert_eq!((c.hits(), c.misses()), (0, 0));
         assert_eq!(c.access(0), CacheAccess::Miss);
     }
 

@@ -8,21 +8,11 @@
 //! indices, immediates pre-converted to the raw register bits the
 //! interpreter's `eval` would produce (`float_bits` applied at decode
 //! time), and the per-instruction issue cost pre-computed for the session's
-//! device. The warp loop in `crate::dispatch` then runs without
+//! device. The warp engine in `crate::dispatch` then runs without
 //! per-instruction operand matching, label skipping, or cost-table lookups.
 //!
-//! On top of the flat stream, decode performs a *superinstruction* analysis
-//! for the fused tier: every instruction records the length of the maximal
-//! straight-line run of infallible pure scalar operations starting at it,
-//! together with that run's summed issue cost and per-lane flop increments.
-//! The fused dispatch loop retires such a run as a single step, bumping the
-//! counters by the precomputed aggregates — producing bit-identical
-//! [`crate::ExecStats`] to stepping the run one instruction at a time.
-//! Fallible operations (memory, integer div/rem, control flow) are never
-//! fused, so fault ordering and fault sites are unchanged by construction.
-//!
 //! Execution tiers are selected with [`ExecTier`] (env var
-//! `GPUCMP_SIM_TIER={interp,decoded,fused}`); the interpreter in
+//! `GPUCMP_SIM_TIER={interp,decoded}`); the interpreter in
 //! [`crate::exec`] remains the reference tier.
 
 use crate::alu::float_bits;
@@ -39,12 +29,10 @@ pub enum ExecTier {
     /// The reference per-instruction interpreter over the original
     /// instruction stream (labels skipped at run time).
     Interp,
-    /// The pre-decoded dispatch IR, stepped one instruction at a time.
-    Decoded,
-    /// The pre-decoded IR with straight-line runs of pure scalar
-    /// instructions retired as single superinstruction steps (the default).
+    /// The warp engine over the pre-decoded IR: one dispatch per warp
+    /// instruction, every lane in one loop (the default).
     #[default]
-    Fused,
+    Decoded,
 }
 
 impl ExecTier {
@@ -53,13 +41,12 @@ impl ExecTier {
         match s.trim().to_ascii_lowercase().as_str() {
             "interp" | "interpreter" => Some(ExecTier::Interp),
             "decoded" | "decode" => Some(ExecTier::Decoded),
-            "fused" | "fuse" => Some(ExecTier::Fused),
             _ => None,
         }
     }
 
     /// Read `GPUCMP_SIM_TIER`; unset or unrecognised values fall back to
-    /// the default tier ([`ExecTier::Fused`]).
+    /// the default tier ([`ExecTier::Decoded`]).
     pub fn from_env() -> ExecTier {
         std::env::var("GPUCMP_SIM_TIER")
             .ok()
@@ -72,7 +59,6 @@ impl ExecTier {
         match self {
             ExecTier::Interp => "interp",
             ExecTier::Decoded => "decoded",
-            ExecTier::Fused => "fused",
         }
     }
 }
@@ -168,7 +154,7 @@ pub(crate) enum DOp {
     Mem(Inst),
 }
 
-/// One pre-decoded instruction plus its fusion metadata.
+/// One pre-decoded instruction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DecodedInst {
     pub(crate) op: DOp,
@@ -177,13 +163,6 @@ pub(crate) struct DecodedInst {
     pub(crate) orig_pc: u32,
     /// Issue cost in millicycles, pre-computed for the session device.
     pub(crate) cost: u64,
-    /// Length of the maximal fusible straight-line run starting here
-    /// (0 if this instruction is not fusible).
-    pub(crate) fuse: u32,
-    /// Summed issue cost of that run (0 if not fusible).
-    pub(crate) run_cost: u64,
-    /// Summed per-lane flop increments of that run (0 if not fusible).
-    pub(crate) run_flops: u64,
 }
 
 /// A kernel compiled to the pre-decoded dispatch IR for one device.
@@ -211,23 +190,6 @@ impl DecodedKernel {
     /// Whether the decoded body is empty.
     pub fn is_empty(&self) -> bool {
         self.body.is_empty()
-    }
-
-    /// Number of instructions covered by fusible runs of length >= 2
-    /// (diagnostic; used by tests and the sim-speed report).
-    pub fn fused_coverage(&self) -> usize {
-        let mut covered = 0usize;
-        let mut i = 0usize;
-        while i < self.body.len() {
-            let l = self.body[i].fuse as usize;
-            if l >= 2 {
-                covered += l;
-                i += l;
-            } else {
-                i += 1;
-            }
-        }
-        covered
     }
 }
 
@@ -297,35 +259,6 @@ pub(crate) fn issue_cost_millicycles(d: &DeviceSpec, inst: &Inst) -> u64 {
         Inst::Atom { .. } => cost_f(4.0),
         Inst::Bar => 1000, // barrier_cost added separately
         Inst::Ret => 1000,
-    }
-}
-
-/// Whether a decoded op may join a fused superinstruction run. Only
-/// *infallible* pure scalar register ops qualify: integer div/rem (the one
-/// fallible ALU case, `DivByZero`) and everything touching memory or
-/// control flow are excluded, so a fused run can never fault and fault
-/// ordering is identical to single-stepping.
-fn fusible(op: &DOp) -> bool {
-    match op {
-        DOp::Mov { .. }
-        | DOp::Cvt { .. }
-        | DOp::Un { .. }
-        | DOp::Tern { .. }
-        | DOp::Setp { .. }
-        | DOp::Selp { .. } => true,
-        DOp::Bin { op, ty, .. } => ty.is_float() || !matches!(op, Op2::Div | Op2::Rem),
-        _ => false,
-    }
-}
-
-/// Per-lane `ExecStats::flops` increment of a scalar op (must mirror the
-/// interpreter's `exec_scalar` exactly).
-fn flop_inc(op: &DOp) -> u64 {
-    match op {
-        DOp::Un { op, .. } => matches!(op, Op1::Sqrt | Op1::Rsqrt | Op1::Rcp) as u64,
-        DOp::Bin { op, ty, .. } => (ty.is_float() && !op.is_logic() && !op.is_shift()) as u64,
-        DOp::Tern { ty, .. } if ty.is_float() => 2,
-        _ => 0,
     }
 }
 
@@ -414,33 +347,9 @@ pub fn decode_kernel(kernel: &ResolvedKernel, device: &DeviceSpec) -> DecodedKer
             op,
             orig_pc: pc as u32,
             cost: issue_cost_millicycles(device, inst),
-            fuse: 0,
-            run_cost: 0,
-            run_flops: 0,
         });
     }
     debug_assert_eq!(body.len(), total as usize);
-
-    // Backward superinstruction analysis: a branch into the middle of a run
-    // sees the correct remaining length/cost/flops by construction, because
-    // every instruction records the aggregates of the run *starting at it*.
-    let m = body.len();
-    for i in (0..m).rev() {
-        if fusible(&body[i].op) {
-            let (nf, nc, nfl) = if i + 1 < m {
-                (
-                    body[i + 1].fuse,
-                    body[i + 1].run_cost,
-                    body[i + 1].run_flops,
-                )
-            } else {
-                (0, 0, 0)
-            };
-            body[i].fuse = nf + 1;
-            body[i].run_cost = body[i].cost + nc;
-            body[i].run_flops = flop_inc(&body[i].op) + nfl;
-        }
-    }
 
     DecodedKernel {
         body,
@@ -452,7 +361,7 @@ pub fn decode_kernel(kernel: &ResolvedKernel, device: &DeviceSpec) -> DecodedKer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpucmp_ptx::{Address, Kernel, LabelId, Reg, Space};
+    use gpucmp_ptx::{Kernel, LabelId, Reg};
 
     fn decode(k: &Kernel) -> DecodedKernel {
         decode_kernel(&k.resolve().unwrap(), &DeviceSpec::gtx480())
@@ -511,56 +420,13 @@ mod tests {
     }
 
     #[test]
-    fn fusion_covers_scalar_runs_but_not_memory_or_int_div() {
-        let mut k = Kernel::new("t");
-        k.regs = vec![Ty::F32, Ty::F32, Ty::S32];
-        k.body = vec![
-            Inst::Mov {
-                ty: Ty::F32,
-                d: Reg(0),
-                a: Operand::ImmF(1.0),
-            },
-            Inst::Bin {
-                op: Op2::Add,
-                ty: Ty::F32,
-                d: Reg(1),
-                a: Operand::Reg(Reg(0)),
-                b: Operand::ImmF(2.0),
-            },
-            Inst::Bin {
-                op: Op2::Div,
-                ty: Ty::S32,
-                d: Reg(2),
-                a: Operand::Reg(Reg(2)),
-                b: Operand::ImmI(2),
-            },
-            Inst::St {
-                space: Space::Global,
-                ty: Ty::F32,
-                addr: Address::base(Operand::ImmI(0)),
-                a: Operand::Reg(Reg(1)),
-            },
-            Inst::Ret,
-        ];
-        let d = decode(&k);
-        // mov + fadd fuse; integer div (fallible) and the store do not.
-        assert_eq!(d.body[0].fuse, 2);
-        assert_eq!(d.body[1].fuse, 1);
-        assert_eq!(d.body[2].fuse, 0);
-        assert_eq!(d.body[3].fuse, 0);
-        assert_eq!(d.body[0].run_cost, d.body[0].cost + d.body[1].cost);
-        // fadd contributes one flop per lane, mov none.
-        assert_eq!(d.body[0].run_flops, 1);
-        assert_eq!(d.fused_coverage(), 2);
-    }
-
-    #[test]
     fn tier_parsing() {
         assert_eq!(ExecTier::parse("interp"), Some(ExecTier::Interp));
         assert_eq!(ExecTier::parse("DECODED"), Some(ExecTier::Decoded));
-        assert_eq!(ExecTier::parse(" fused "), Some(ExecTier::Fused));
+        assert_eq!(ExecTier::parse(" decode "), Some(ExecTier::Decoded));
+        assert_eq!(ExecTier::parse("fused"), None);
         assert_eq!(ExecTier::parse("jit"), None);
-        assert_eq!(ExecTier::default(), ExecTier::Fused);
-        assert_eq!(ExecTier::Fused.name(), "fused");
+        assert_eq!(ExecTier::default(), ExecTier::Decoded);
+        assert_eq!(ExecTier::Decoded.name(), "decoded");
     }
 }

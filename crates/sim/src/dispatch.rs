@@ -1,41 +1,79 @@
-//! The dispatch loop over the pre-decoded IR: the decoded and fused tiers.
+//! The warp engine: register-major dispatch over the pre-decoded IR.
 //!
-//! [`BlockExec::run_warp_decoded`] mirrors the reference interpreter's
-//! `run_warp` step for step, but over a [`DecodedKernel`]: no label
-//! skipping (labels are stripped at decode), no per-instruction cost-table
-//! lookup (costs are baked into the IR), no operand matching (register
-//! slots and immediates are pre-resolved), and branch targets land directly
-//! on decoded indices. Warp `pc` values are *decoded* indices here; fault
-//! sites report the original `pc` via [`DecodedInst::orig_pc`], so
-//! [`crate::error::FaultSite`]s are identical across tiers.
+//! [`BlockExec::run_warp_decoded`] mirrors the interpreter's `run_warp`
+//! step for step over a [`DecodedKernel`]: labels are gone, costs, register
+//! slots, immediates and branch targets are pre-resolved, and fault sites
+//! report the original pc ([`DecodedInst::orig_pc`]). Warp instructions
+//! retire one at a time, so counters and the watchdog move as there.
 //!
-//! With `fused == true`, a maximal straight-line run of infallible pure
-//! scalar instructions (precomputed at decode as [`DecodedInst::fuse`])
-//! retires as one superinstruction: the counters bump by the run's
-//! precomputed aggregates and the lanes execute the run register-file-hot,
-//! lane-major. Because fused ops are infallible and touch only per-lane
-//! registers, lane-major order is bit-identical to the interpreter's
-//! instruction-major order, and no fault can occur mid-run. If the
-//! remaining watchdog budget is smaller than the run, the warp falls back
-//! to single-stepping so the budget exhausts at exactly the same
-//! instruction as the interpreter.
+//! A scalar op is matched once per warp instruction, on its op, type and
+//! operand kinds, then runs one loop over the warp's lanes, whose operands
+//! are contiguous register columns. Hot `(op, type)` pairs get their own
+//! loop with the shared ALU function inlined at constant arguments, so
+//! each lane runs exactly the interpreter's arithmetic; other pairs keep
+//! the ALU's match inside the loop. A two- or three-input float op whose
+//! result is NaN is recomputed by the out-of-line ALU the interpreter
+//! calls, so NaN payloads match too (one input fixes the hardware's pick).
+//!
+//! Every lane is computed and only active lanes are written back. That is
+//! side-effect free because every ALU op is total except integer
+//! `div`/`rem`, which run lane by lane in ascending order: a division
+//! fault leaves lanes below the faulting one written, lanes above
+//! untouched, and `cur_tid` on the faulting lane, as in the interpreter.
 
-use crate::alu::{alu1, alu2, alu3, compare, convert, load_extend};
+use crate::alu::{alu1, alu2, alu2_inline, alu3, alu3_inline, compare, convert, load_extend};
 use crate::decode::{DOp, DSrc, DecodedInst, DecodedKernel};
 use crate::error::FaultKind;
 use crate::exec::{BlockExec, Frame, WarpStatus};
 use crate::launch::Dim3;
-use gpucmp_ptx::Op1;
+use gpucmp_ptx::{CmpOp, Op1, Op2, Op3, Reg, Ty};
+
+/// Widest warp a device may have (lane masks are `u64`).
+pub(crate) const MAX_WARP: usize = 64;
+
+/// The lanes one warp instruction runs on.
+#[derive(Clone, Copy)]
+struct Lanes {
+    /// Linear tid of lane 0.
+    base: u32,
+    /// Lanes that exist (the last warp of a block may be partial).
+    n: usize,
+    /// Active-lane mask.
+    active: u64,
+}
+
+/// Expand `$body` once per listed hot pair, with the pair's keys rebound
+/// to constants so the ALU call inside folds to that pair's arithmetic,
+/// and once more for every other pair.
+macro_rules! specialize {
+    ($x:ident: $X:ident; [$($a:ident),* $(,)?] => $body:expr) => {
+        match $x {
+            $($X::$a => {
+                let $x = $X::$a;
+                $body
+            })*
+            _ => $body,
+        }
+    };
+    ($x:ident: $X:ident, $y:ident: $Y:ident; [$($a:ident $b:ident),* $(,)?] => $body:expr) => {
+        match ($x, $y) {
+            $(($X::$a, $Y::$b) => {
+                let ($x, $y) = ($X::$a, $Y::$b);
+                $body
+            })*
+            _ => $body,
+        }
+    };
+}
 
 impl<'a> BlockExec<'a> {
-    /// Run one warp of the decoded (or fused) tier until it blocks on a
-    /// barrier or returns. Mirrors `run_warp` exactly; see module docs.
+    /// Run one warp on the engine until it blocks on a barrier or returns.
+    /// Mirrors `run_warp` exactly; see module docs.
     pub(crate) fn run_warp_decoded(
         &mut self,
         w: usize,
         ctaid: Dim3,
         code: &DecodedKernel,
-        fused: bool,
     ) -> Result<(), FaultKind> {
         loop {
             let pc = self.warps[w].pc;
@@ -44,38 +82,6 @@ impl<'a> BlockExec<'a> {
             let di: &DecodedInst = &code.body[pc];
             self.cur_pc = di.orig_pc as usize;
             self.cur_tid = self.warps[w].base_tid;
-
-            // Superinstruction step: retire the whole straight-line run at
-            // once. Requires enough budget for every instruction of the run
-            // so the watchdog cannot fire mid-run (the fallback below
-            // single-steps to the exact interpreter exhaustion point).
-            let run = di.fuse as u64;
-            if fused && di.fuse >= 2 && self.budget >= run {
-                self.budget -= run;
-                let active = self.warps[w].active;
-                let lanes = active.count_ones() as u64;
-                self.stats.warp_instructions += run;
-                self.stats.lane_instructions += run * lanes;
-                self.stats.issue_millicycles += di.run_cost;
-                self.stats.flops += di.run_flops * lanes;
-                let base = self.warps[w].base_tid;
-                let ww = self.device.warp_width;
-                let end = pc + di.fuse as usize;
-                let ops = &code.body[pc..end];
-                for lane in 0..ww {
-                    if active & (1u64 << lane) == 0 {
-                        continue;
-                    }
-                    let tid = base + lane;
-                    self.cur_tid = tid;
-                    for d in ops {
-                        self.exec_scalar_d::<false>(tid, ctaid, &d.op)?;
-                    }
-                }
-                self.warps[w].pc = end;
-                continue;
-            }
-
             if self.budget == 0 {
                 return Err(FaultKind::Watchdog {
                     budget: self.budget_limit,
@@ -119,7 +125,7 @@ impl<'a> BlockExec<'a> {
                             self.stats.issue_millicycles += refill;
                         }
                         Some((p, polarity)) => {
-                            let taken = self.pred_mask_slot(w, p, polarity);
+                            let taken = self.pred_mask(w, Reg(p), polarity);
                             let warp = &mut self.warps[w];
                             let active = warp.active;
                             if taken == active {
@@ -174,121 +180,156 @@ impl<'a> BlockExec<'a> {
                     self.warps[w].pc += 1;
                 }
                 ref op => {
-                    let active = self.warps[w].active;
-                    let base = self.warps[w].base_tid;
-                    let ww = self.device.warp_width;
-                    for lane in 0..ww {
-                        if active & (1u64 << lane) == 0 {
-                            continue;
-                        }
-                        let tid = base + lane;
-                        self.cur_tid = tid;
-                        self.exec_scalar_d::<true>(tid, ctaid, op)?;
-                    }
+                    let warp = &self.warps[w];
+                    let lanes = Lanes {
+                        base: warp.base_tid,
+                        n: warp.full.count_ones() as usize,
+                        active: warp.active,
+                    };
+                    self.exec_warp_op(lanes, ctaid, op)?;
                     self.warps[w].pc += 1;
                 }
             }
         }
     }
 
-    /// Pure register-to-register execution of a decoded op for one thread.
-    /// Must mirror `exec_scalar` exactly; with `STATS == false` the per-op
-    /// flop increments are skipped (the fused caller bumps the precomputed
-    /// run aggregate instead).
-    fn exec_scalar_d<const STATS: bool>(
-        &mut self,
-        tid: u32,
-        ctaid: Dim3,
-        op: &DOp,
-    ) -> Result<(), FaultKind> {
+    /// One scalar op for every lane of a warp. Must mirror `exec_scalar`
+    /// lane for lane, flops included. The specialised pairs are those that
+    /// carry at least 1 % of a campaign pass's scalar lane instructions.
+    fn exec_warp_op(&mut self, l: Lanes, ctaid: Dim3, op: &DOp) -> Result<(), FaultKind> {
+        let active = l.active.count_ones() as u64;
         match *op {
-            DOp::Mov { ty, d, a } => {
-                let v = load_extend(self.eval_d(tid, ctaid, a), ty);
-                self.set_reg_slot(tid, d, v);
-            }
-            DOp::Cvt { dty, sty, d, a } => {
-                let v = self.eval_d(tid, ctaid, a);
-                self.set_reg_slot(tid, d, convert(v, sty, dty));
-            }
+            DOp::Mov { ty, d, a } => specialize!(ty: Ty; [F32]
+                => self.map(l, ctaid, d, [a], |[x]| load_extend(x, ty))),
+            DOp::Cvt { dty, sty, d, a } => specialize!(dty: Ty, sty: Ty; [U64 S32]
+                => self.map(l, ctaid, d, [a], |[x]| convert(x, sty, dty))),
             DOp::Un { op, ty, d, a } => {
-                let v = self.eval_d(tid, ctaid, a);
-                let r = alu1(op, ty, v);
-                if STATS && (op == Op1::Sqrt || op == Op1::Rsqrt || op == Op1::Rcp) {
-                    self.stats.flops += 1;
+                if matches!(op, Op1::Sqrt | Op1::Rsqrt | Op1::Rcp) {
+                    self.stats.flops += active;
                 }
-                self.set_reg_slot(tid, d, r);
+                self.map(l, ctaid, d, [a], |[x]| alu1(op, ty, x))
             }
             DOp::Bin { op, ty, d, a, b } => {
-                let va = self.eval_d(tid, ctaid, a);
-                let vb = self.eval_d(tid, ctaid, b);
-                let r = alu2(op, ty, va, vb)?;
-                if STATS && ty.is_float() && !op.is_logic() && !op.is_shift() {
-                    self.stats.flops += 1;
+                if !ty.is_float() && matches!(op, Op2::Div | Op2::Rem) {
+                    self.load(l, ctaid, [a, b]);
+                    return self.div_lanes(l, (op, ty, d));
                 }
-                self.set_reg_slot(tid, d, r);
+                if ty.is_float() && !op.is_logic() && !op.is_shift() {
+                    self.stats.flops += active;
+                }
+                specialize!(op: Op2, ty: Ty; [
+                    Add F32, Mul F32,
+                    Add S32, Sub S32, Mul S32, Shr S32, And S32,
+                    Add U32, Mul U32, Shl U32,
+                    Add U64, Shl U64,
+                ] => self.map(l, ctaid, d, [a, b], |[x, y]| {
+                    const E: &str = "only integer div/rem can fault";
+                    exact_nan(ty, alu2_inline(op, ty, x, y).expect(E), || {
+                        alu2(op, ty, x, y).expect(E)
+                    })
+                }))
             }
             DOp::Tern { op, ty, d, a, b, c } => {
-                let va = self.eval_d(tid, ctaid, a);
-                let vb = self.eval_d(tid, ctaid, b);
-                let vc = self.eval_d(tid, ctaid, c);
-                let r = alu3(op, ty, va, vb, vc);
-                if STATS && ty.is_float() {
-                    self.stats.flops += 2;
+                if ty.is_float() {
+                    self.stats.flops += 2 * active;
                 }
-                self.set_reg_slot(tid, d, r);
+                specialize!(op: Op3, ty: Ty; [Fma F32, Mad S32, Mad U32, Mad U64]
+                => self.map(l, ctaid, d, [a, b, c], |[x, y, z]| {
+                    exact_nan(ty, alu3_inline(op, ty, x, y, z), || alu3(op, ty, x, y, z))
+                }))
             }
-            DOp::Setp { cmp, ty, d, a, b } => {
-                let va = self.eval_d(tid, ctaid, a);
-                let vb = self.eval_d(tid, ctaid, b);
-                let r = compare(cmp, ty, va, vb) as u64;
-                self.set_reg_slot(tid, d, r);
-            }
-            DOp::Selp { ty, d, a, b, p } => {
-                let va = self.eval_d(tid, ctaid, a);
-                let vb = self.eval_d(tid, ctaid, b);
-                let vp = self.get_reg_slot(tid, p);
-                self.set_reg_slot(tid, d, load_extend(if vp != 0 { va } else { vb }, ty));
-            }
-            _ => unreachable!("exec_scalar_d on non-scalar op"),
+            DOp::Setp { cmp, ty, d, a, b } => specialize!(cmp: CmpOp, ty: Ty; [
+                Eq S32, Ne S32, Lt S32, Ge S32,
+                Lt U32, Gt U32,
+            ] => self.map(l, ctaid, d, [a, b], |[x, y]| compare(cmp, ty, x, y) as u64)),
+            DOp::Selp { ty, d, a, b, p } => specialize!(ty: Ty; [S32]
+            => self.map(l, ctaid, d, [a, b, DSrc::Reg(p)], |[x, y, p]| {
+                load_extend(if p != 0 { x } else { y }, ty)
+            })),
+            _ => unreachable!("exec_warp_op on non-scalar op"),
         }
         Ok(())
     }
 
-    /// Evaluate a pre-resolved source operand (immediates carry final bits).
-    #[inline]
-    fn eval_d(&self, tid: u32, ctaid: Dim3, s: DSrc) -> u64 {
-        match s {
-            DSrc::Reg(slot) => self.get_reg_slot(tid, slot),
-            DSrc::Imm(bits) => bits,
-            DSrc::Special(sp) => self.special(tid, ctaid, sp),
+    /// Integer `div`/`rem` (the one fallible ALU op) over loaded lane
+    /// vectors: active lanes run in ascending order and the first fault
+    /// stops the warp, with `cur_tid` on the faulting lane.
+    fn div_lanes(&mut self, l: Lanes, (op, ty, d): (Op2, Ty, u32)) -> Result<(), FaultKind> {
+        for lane in 0..l.n {
+            if l.active & (1u64 << lane) != 0 {
+                let tid = l.base + lane as u32;
+                self.cur_tid = tid;
+                let [x, y, _] = &self.lane_vecs;
+                let r = alu2(op, ty, x[lane], y[lane])?;
+                self.set_reg(tid, Reg(d), r);
+            }
+        }
+        Ok(())
+    }
+
+    /// `d = f(srcs)` in every active lane: the sources load into the
+    /// lane vectors, `f` runs over every lane, the active results store.
+    #[inline(always)]
+    fn map<const K: usize>(
+        &mut self,
+        l: Lanes,
+        ctaid: Dim3,
+        d: u32,
+        srcs: [DSrc; K],
+        f: impl Fn([u64; K]) -> u64,
+    ) {
+        self.load(l, ctaid, srcs);
+        let [x, y, z] = &mut self.lane_vecs;
+        for ((r, &y), &z) in x[..l.n].iter_mut().zip(&y[..l.n]).zip(&z[..l.n]) {
+            *r = f(std::array::from_fn(|k| [*r, y, z][k]));
+        }
+        let n = l.n;
+        let i = self.reg_index(l.base, d);
+        let (col, r) = (&mut self.regs[i..i + n], &self.lane_vecs[0][..n]);
+        if l.active.count_ones() as usize == n {
+            col.copy_from_slice(r);
+        } else {
+            for (lane, (c, &v)) in col.iter_mut().zip(r).enumerate() {
+                if l.active & (1u64 << lane) != 0 {
+                    *c = v;
+                }
+            }
         }
     }
 
-    #[inline]
-    fn get_reg_slot(&self, tid: u32, slot: u32) -> u64 {
-        self.regs[(tid as usize) * self.reg_stride + slot as usize]
-    }
-
-    #[inline]
-    fn set_reg_slot(&mut self, tid: u32, slot: u32, v: u64) {
-        self.regs[(tid as usize) * self.reg_stride + slot as usize] = v;
-    }
-
-    /// Mask of active lanes whose predicate register slot equals `polarity`.
-    fn pred_mask_slot(&self, w: usize, slot: u32, polarity: bool) -> u64 {
-        let warp = &self.warps[w];
-        let ww = self.device.warp_width;
-        let mut mask = 0u64;
-        for lane in 0..ww {
-            let bit = 1u64 << lane;
-            if warp.active & bit == 0 {
-                continue;
-            }
-            let v = self.get_reg_slot(warp.base_tid + lane, slot) != 0;
-            if v == polarity {
-                mask |= bit;
+    /// Each source operand's value in every lane (active or not), into
+    /// lane vector `k` for source `k`.
+    #[inline(always)]
+    fn load<const K: usize>(&mut self, l: Lanes, ctaid: Dim3, srcs: [DSrc; K]) {
+        for (k, s) in srcs.into_iter().enumerate() {
+            match s {
+                DSrc::Reg(slot) => {
+                    let i = self.reg_index(l.base, slot);
+                    self.lane_vecs[k][..l.n].copy_from_slice(&self.regs[i..i + l.n]);
+                }
+                DSrc::Imm(bits) => self.lane_vecs[k][..l.n].fill(bits),
+                DSrc::Special(sp) => {
+                    for lane in 0..l.n {
+                        self.lane_vecs[k][lane] = self.special(l.base + lane as u32, ctaid, sp);
+                    }
+                }
             }
         }
-        mask
+    }
+}
+
+/// `fast`, unless it is a NaN of type `ty`: then `exact()`, the interpreter's
+/// out-of-line computation, which picks the same input NaN it does.
+#[inline(always)]
+fn exact_nan(ty: Ty, fast: u64, exact: impl FnOnce() -> u64) -> u64 {
+    let nan = match ty {
+        Ty::F32 => f32::from_bits(fast as u32).is_nan(),
+        Ty::F64 => f64::from_bits(fast).is_nan(),
+        _ => false,
+    };
+    if nan {
+        exact()
+    } else {
+        fast
     }
 }

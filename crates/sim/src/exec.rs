@@ -28,6 +28,7 @@ use crate::alu::{
 use crate::cache::{Cache, CacheAccess};
 use crate::decode::{decode_kernel, issue_cost_millicycles, DecodedKernel, ExecTier};
 use crate::device::DeviceSpec;
+use crate::dispatch::MAX_WARP;
 use crate::error::{DeviceFault, FaultKind, FaultSite, SimError};
 use crate::launch::{Dim3, LaunchConfig, TexBinding};
 use crate::mem::{GlobalMemory, WriteOverlay};
@@ -48,7 +49,7 @@ pub(crate) struct Frame {
     /// A parked path: (target pc, mask), waiting to run when the current
     /// path reaches the `sync`. The pc lives in the instruction space of
     /// the executing tier (original stream for interp, decoded stream for
-    /// decoded/fused) — warps are rebuilt per block and one launch runs one
+    /// the engine) — warps are rebuilt per block and one launch runs one
     /// tier, so the spaces never mix.
     pub(crate) pending: Option<(usize, u64)>,
 }
@@ -89,8 +90,8 @@ pub struct ExecOptions {
     /// granularity, like `cuda-memcheck`. Control-flow faults (barrier
     /// deadlock, divergence misuse, watchdog) still abort.
     pub memcheck: bool,
-    /// Which execution engine steps warp instructions (interp / decoded /
-    /// fused). Bit-identical results by contract; see [`ExecTier`].
+    /// Which execution engine steps warp instructions (interp / decoded).
+    /// Bit-identical results by contract; see [`ExecTier`].
     /// `Default` does *not* consult the environment — callers that want
     /// `GPUCMP_SIM_TIER` respected use [`ExecTier::from_env`].
     pub tier: ExecTier,
@@ -289,7 +290,7 @@ pub fn run_launch(
 
 /// [`run_launch`] with an optional pre-decoded kernel.
 ///
-/// When `opts.tier` is a decoded tier and `code` is `Some`, the launch
+/// When `opts.tier` is [`ExecTier::Decoded`] and `code` is `Some`, the launch
 /// executes that pre-decoded body (the session code cache path — one
 /// decode per distinct kernel). With `code == None` the kernel is decoded
 /// here, once per launch. On [`ExecTier::Interp`] any provided `code` is
@@ -307,7 +308,7 @@ pub fn run_launch_with_code(
     let decoded_here;
     let code: Option<&DecodedKernel> = match opts.tier {
         ExecTier::Interp => None,
-        ExecTier::Decoded | ExecTier::Fused => Some(match code {
+        ExecTier::Decoded => Some(match code {
             Some(c) => c,
             None => {
                 decoded_here = decode_kernel(kernel, device);
@@ -315,7 +316,6 @@ pub fn run_launch_with_code(
             }
         }),
     };
-    let fused = opts.tier == ExecTier::Fused;
     let blocks = cfg.grid.count();
     let block_threads = cfg.block.count() as u32;
 
@@ -351,16 +351,7 @@ pub fn run_launch_with_code(
             gmem,
             l2: device.l2.map(Cache::from_geom),
         };
-        let mut exec = BlockExec::new(
-            device,
-            kernel,
-            cfg,
-            const_bank,
-            opts.memcheck,
-            code,
-            fused,
-            path,
-        );
+        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, path);
         let mut result = Ok(());
         for b in 0..blocks {
             result = exec.run_linear_block(b);
@@ -390,16 +381,7 @@ pub fn run_launch_with_code(
             events: Vec::new(),
             record_l2: device.l2.is_some(),
         };
-        let mut exec = BlockExec::new(
-            device,
-            kernel,
-            cfg,
-            const_bank,
-            opts.memcheck,
-            code,
-            fused,
-            path,
-        );
+        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, path);
         let mut b = worker as u64;
         while b < blocks {
             exec.budget = cfg.inst_budget;
@@ -493,12 +475,11 @@ pub(crate) struct BlockExec<'a> {
     pub(crate) budget: u64,
     /// Pre-decoded dispatch IR (`None` on the interp reference tier).
     code: Option<&'a DecodedKernel>,
-    /// Whether the decoded tier retires fused superinstruction runs.
-    fused: bool,
-    /// Register-file stride (`kernel.regs.len()`), cached so the decoded
-    /// tier's slot arithmetic skips the double pointer chase per access.
-    pub(crate) reg_stride: usize,
+    /// Threads per block: the length of one register column.
+    block_threads: usize,
     // ---- per-block state (reused across blocks to avoid reallocation) ----
+    /// Register file, register-major: one column of `block_threads` values
+    /// per register, so a warp's lanes are contiguous (see [`Self::reg_index`]).
     pub(crate) regs: Vec<u64>,
     shared: Vec<u8>,
     local: Vec<u8>,
@@ -506,6 +487,8 @@ pub(crate) struct BlockExec<'a> {
     l1: Option<Cache>,
     texc: Option<Cache>,
     constc: Option<Cache>,
+    /// Scratch: one operand value per lane, per source of a warp op.
+    pub(crate) lane_vecs: [[u64; MAX_WARP]; 3],
     /// Scratch: per-lane addresses of the current memory instruction.
     lane_addr: Vec<(u32, u64)>,
     /// Scratch: distinct memory segments of one coalesce group.
@@ -545,7 +528,6 @@ impl<'a> BlockExec<'a> {
         const_bank: &'a [u8],
         memcheck: bool,
         code: Option<&'a DecodedKernel>,
-        fused: bool,
         path: GmemPath<'a>,
     ) -> Self {
         let mut param_bytes = Vec::with_capacity(cfg.params.len() * 8);
@@ -564,15 +546,15 @@ impl<'a> BlockExec<'a> {
             stats: ExecStats::default(),
             budget: cfg.inst_budget,
             code,
-            fused,
-            reg_stride: kernel.kernel.regs.len(),
+            block_threads: cfg.block.count() as usize,
             regs: Vec::new(),
             shared: Vec::new(),
             local: Vec::new(),
             warps: Vec::new(),
-            l1: None,
-            texc: None,
-            constc: None,
+            l1: device.l1.map(Cache::from_geom),
+            texc: device.tex_cache.map(Cache::from_geom),
+            constc: device.const_cache.map(Cache::from_geom),
+            lane_vecs: [[0; MAX_WARP]; 3],
             lane_addr: Vec::new(),
             seg_scratch: Vec::new(),
             word_scratch: Vec::new(),
@@ -684,11 +666,14 @@ impl<'a> BlockExec<'a> {
         self.shared.resize(k.shared_bytes as usize, 0);
         self.local.clear();
         self.local.resize((threads * k.local_bytes) as usize, 0);
-        // Fresh per-CU caches each block (blocks land on arbitrary CUs; the
+        // Cold per-CU caches each block (blocks land on arbitrary CUs; the
         // conservative model gives each block a cold private cache).
-        self.l1 = self.device.l1.map(Cache::from_geom);
-        self.texc = self.device.tex_cache.map(Cache::from_geom);
-        self.constc = self.device.const_cache.map(Cache::from_geom);
+        for c in [&mut self.l1, &mut self.texc, &mut self.constc]
+            .into_iter()
+            .flatten()
+        {
+            c.reset();
+        }
 
         let num_warps = threads.div_ceil(ww);
         self.warps.clear();
@@ -716,7 +701,7 @@ impl<'a> BlockExec<'a> {
                 if self.warps[w].status == WarpStatus::Running {
                     match self.code {
                         None => self.run_warp(w, ctaid),
-                        Some(code) => self.run_warp_decoded(w, ctaid, code, self.fused),
+                        Some(code) => self.run_warp_decoded(w, ctaid, code),
                     }
                     .map_err(|k| self.site_fault(k, ctaid))?;
                     progressed = true;
@@ -993,11 +978,10 @@ impl<'a> BlockExec<'a> {
         let size = ty.size_bytes();
         // Cost model first (needs the address vector), then functional reads.
         self.account_memory(space, size, false);
-        let threads = self.block.count() as u32;
         for i in 0..self.lane_addr.len() {
             let (tid, a) = self.lane_addr[i];
             self.cur_tid = tid;
-            let v = match self.space_read_checked(space, tid, threads, a, size) {
+            let v = match self.space_read_checked(space, tid, a, size) {
                 Ok(v) => v,
                 Err(k) if self.memcheck && k.is_access_fault() => {
                     // Sanitizer semantics: report, read zero, keep going.
@@ -1024,12 +1008,11 @@ impl<'a> BlockExec<'a> {
         self.gather_addresses(w, ctaid, addr);
         let size = ty.size_bytes();
         self.account_memory(space, size, true);
-        let threads = self.block.count() as u32;
         for i in 0..self.lane_addr.len() {
             let (tid, ad) = self.lane_addr[i];
             self.cur_tid = tid;
             let v = self.eval(tid, ctaid, a, ty);
-            match self.space_write_checked(space, tid, threads, ad, size, v) {
+            match self.space_write_checked(space, tid, ad, size, v) {
                 Ok(()) => {}
                 Err(k) if self.memcheck && k.is_access_fault() => {
                     // Sanitizer semantics: report and drop the store.
@@ -1163,11 +1146,10 @@ impl<'a> BlockExec<'a> {
         } else {
             self.stats.shared_cycles += self.lane_addr.len() as u64;
         }
-        let threads = self.block.count() as u32;
         for i in 0..self.lane_addr.len() {
             let (tid, a) = self.lane_addr[i];
             self.cur_tid = tid;
-            let old = match self.space_read_checked(space, tid, threads, a, size) {
+            let old = match self.space_read_checked(space, tid, a, size) {
                 Ok(v) => v,
                 Err(k) if self.memcheck && k.is_access_fault() => {
                     // Report and skip the whole read-modify-write.
@@ -1193,7 +1175,7 @@ impl<'a> BlockExec<'a> {
                     }
                 }
             };
-            self.space_write_checked(space, tid, threads, a, size, new)?;
+            self.space_write_checked(space, tid, a, size, new)?;
             self.set_reg(tid, d, old);
         }
         Ok(())
@@ -1408,21 +1390,19 @@ impl<'a> BlockExec<'a> {
         &self,
         space: Space,
         tid: u32,
-        threads: u32,
         addr: u64,
         size: u32,
     ) -> Result<u64, FaultKind> {
         if self.memcheck && space == Space::Global {
             self.gmem_check_alloc(addr, size as u64)?;
         }
-        self.space_read(space, tid, threads, addr, size)
+        self.space_read(space, tid, addr, size)
     }
 
     fn space_write_checked(
         &mut self,
         space: Space,
         tid: u32,
-        threads: u32,
         addr: u64,
         size: u32,
         value: u64,
@@ -1430,17 +1410,10 @@ impl<'a> BlockExec<'a> {
         if self.memcheck && space == Space::Global {
             self.gmem_check_alloc(addr, size as u64)?;
         }
-        self.space_write(space, tid, threads, addr, size, value)
+        self.space_write(space, tid, addr, size, value)
     }
 
-    fn space_read(
-        &self,
-        space: Space,
-        tid: u32,
-        _threads: u32,
-        addr: u64,
-        size: u32,
-    ) -> Result<u64, FaultKind> {
+    fn space_read(&self, space: Space, tid: u32, addr: u64, size: u32) -> Result<u64, FaultKind> {
         match space {
             Space::Global => self.gmem_read(addr, size),
             Space::Shared => read_bytes(&self.shared, addr, size, Space::Shared),
@@ -1466,7 +1439,6 @@ impl<'a> BlockExec<'a> {
         &mut self,
         space: Space,
         tid: u32,
-        _threads: u32,
         addr: u64,
         size: u32,
         value: u64,
@@ -1496,15 +1468,22 @@ impl<'a> BlockExec<'a> {
     // Operand / register plumbing
     // ------------------------------------------------------------------
 
+    /// Index of thread `tid`'s copy of register `slot`: the one place the
+    /// register-major layout is spelled out.
     #[inline]
-    fn get_reg(&self, tid: u32, r: Reg) -> u64 {
-        self.regs[(tid as usize) * self.kernel.kernel.regs.len() + r.index()]
+    pub(crate) fn reg_index(&self, tid: u32, slot: u32) -> usize {
+        slot as usize * self.block_threads + tid as usize
     }
 
     #[inline]
-    fn set_reg(&mut self, tid: u32, r: Reg, v: u64) {
-        let n = self.kernel.kernel.regs.len();
-        self.regs[(tid as usize) * n + r.index()] = v;
+    fn get_reg(&self, tid: u32, r: Reg) -> u64 {
+        self.regs[self.reg_index(tid, r.0)]
+    }
+
+    #[inline]
+    pub(crate) fn set_reg(&mut self, tid: u32, r: Reg, v: u64) {
+        let i = self.reg_index(tid, r.0);
+        self.regs[i] = v;
     }
 
     /// Evaluate an operand in the context of type `ty`, returning raw bits.
@@ -1550,20 +1529,62 @@ impl<'a> BlockExec<'a> {
     }
 
     /// Mask of active lanes whose predicate register `p` equals `polarity`.
-    fn pred_mask(&self, w: usize, p: Reg, polarity: bool) -> u64 {
+    pub(crate) fn pred_mask(&self, w: usize, p: Reg, polarity: bool) -> u64 {
         let warp = &self.warps[w];
-        let ww = self.device.warp_width;
+        let i = self.reg_index(warp.base_tid, p.0);
         let mut mask = 0u64;
-        for lane in 0..ww {
-            let bit = 1u64 << lane;
-            if warp.active & bit == 0 {
-                continue;
-            }
-            let v = self.get_reg(warp.base_tid + lane, p) != 0;
-            if v == polarity {
-                mask |= bit;
-            }
+        for (lane, &v) in self.regs[i..i + warp.full.count_ones() as usize]
+            .iter()
+            .enumerate()
+        {
+            mask |= (((v != 0) == polarity) as u64) << lane;
         }
-        mask
+        mask & warp.active
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpucmp_ptx::KernelBuilder;
+
+    #[test]
+    fn div_fault_in_a_middle_lane_leaves_the_interpreter_register_state() {
+        // q = 340 / (17 - tid) over a preset sentinel: lane 17 divides by
+        // zero. Lanes below it hold their quotients, lanes above the
+        // sentinel, on both tiers; the second warp never ran.
+        let mut b = KernelBuilder::new("divz");
+        let tid = b.special(Special::TidX);
+        let q = b.mov(Ty::S32, -1i32);
+        let den = b.bin(Op2::Sub, Ty::S32, 17i32, tid);
+        b.bin_to(Op2::Div, Ty::S32, q, 340i32, den);
+        let kernel = b.finish().resolve().unwrap();
+        let device = DeviceSpec::gtx480();
+        let cfg = LaunchConfig::new(1u32, 64u32);
+        let code = decode_kernel(&kernel, &device);
+        let state = |code: Option<&DecodedKernel>| {
+            let mut gmem = GlobalMemory::new(1 << 12);
+            let path = GmemPath::Coherent {
+                gmem: &mut gmem,
+                l2: None,
+            };
+            let mut exec = BlockExec::new(&device, &kernel, &cfg, &[], false, code, path);
+            let fault = exec.run_linear_block(0).unwrap_err();
+            let regs: Vec<u64> = (0..64).map(|t| exec.get_reg(t, q)).collect();
+            (fault, regs)
+        };
+        let want: Vec<u64> = (0..64usize)
+            .map(|t| match t {
+                0..17 => (340 / (17 - t)) as u64,
+                17..32 => u64::MAX,
+                _ => 0,
+            })
+            .collect();
+        for code in [None, Some(&code)] {
+            let (fault, regs) = state(code);
+            assert_eq!(fault.kind, FaultKind::DivByZero);
+            assert_eq!(fault.site.unwrap().thread, [17, 0, 0]);
+            assert_eq!(regs, want);
+        }
     }
 }

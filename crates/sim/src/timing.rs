@@ -267,9 +267,20 @@ impl TimelineState {
         self.stream_tail.get(&stream).copied().unwrap_or(0.0)
     }
 
-    /// Completion time of a committed op, if committed.
+    /// Completion time of a committed op, if committed and not forgotten.
     pub fn op_end_ns(&self, stream: u32, seq: u64) -> Option<f64> {
         self.op_end.get(&(stream, seq)).copied()
+    }
+
+    /// Drop a committed op's completion time once nothing can name it (no
+    /// later op may depend on it), so a long session's timeline stays bounded.
+    pub fn forget(&mut self, stream: u32, seq: u64) {
+        self.op_end.remove(&(stream, seq));
+    }
+
+    /// Number of committed ops whose completion times are still held.
+    pub fn recorded_ops(&self) -> usize {
+        self.op_end.len()
     }
 
     /// Latest committed completion time across all engines.
