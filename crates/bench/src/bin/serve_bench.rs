@@ -24,6 +24,7 @@
 //! | 1    | an invariant broke (cross-tenant corruption, slot growth,   |
 //! |      | untyped failure, server hang/crash)                         |
 
+use gpucmp_ptx::splitmix64;
 use gpucmp_server::protocol::ErrorKind;
 use gpucmp_server::{serve_local, Client, RetryPolicy, ServerConfig, TenantQuota};
 use std::process::ExitCode;
@@ -44,14 +45,6 @@ fn retry(seed: u64) -> RetryPolicy {
 
 fn fill_params(ptr: u64, n: u32, v: f32) -> Vec<u64> {
     vec![ptr, n as u64, f32::to_bits(v) as u64]
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One well-behaved tenant: open → alloc → iterate fill/read → close,

@@ -238,29 +238,42 @@ pub fn pressure(kernel: &Kernel, cfg: &Cfg, lv: &Liveness) -> Pressure {
         }
     };
     let mut live_len = vec![0u32; nregs];
+    // Step of the block's backward walk from which each live register has
+    // been counted. A register's run is added to `live_len` when a def
+    // kills it or the walk reaches the block's top, so no step has to visit
+    // the whole live set.
+    let mut since = vec![0u32; nregs];
     let mut max_slots = 0u32;
     let mut live = BitSet::new(nregs);
     for (bi, b) in cfg.blocks.iter().enumerate() {
         live.words.clone_from(&lv.live_out[bi].words);
-        let mut slots: u32 = live.iter().map(weight).sum();
+        let mut slots = 0;
+        for r in live.iter() {
+            slots += weight(r);
+            since[r] = 0;
+        }
         max_slots = max_slots.max(slots);
+        let mut step = 0u32;
         for pc in (b.start..b.end).rev() {
             let inst = &kernel.body[pc];
             if let Some(d) = inst.def() {
                 if live.contains(d.index()) {
                     live.remove(d.index());
                     slots -= weight(d.index());
+                    live_len[d.index()] += step - since[d.index()];
                 }
             }
             inst.for_each_use(|r| {
                 if live.insert(r.index()) {
                     slots += weight(r.index());
+                    since[r.index()] = step;
                 }
             });
             max_slots = max_slots.max(slots);
-            for r in live.iter() {
-                live_len[r] += 1;
-            }
+            step += 1;
+        }
+        for r in live.iter() {
+            live_len[r] += step - since[r];
         }
     }
     Pressure {
@@ -418,6 +431,29 @@ mod tests {
         assert_eq!(collected, vec![129]);
     }
 
+    /// `pressure`'s `live_len` against a direct count: after each step of
+    /// each block's backward walk, every live register gains one.
+    fn assert_live_len_is_per_step_count(k: &Kernel) {
+        let cfg = build_cfg(k);
+        let lv = liveness(k, &cfg);
+        let mut want = vec![0u32; k.regs.len()];
+        for (bi, b) in cfg.blocks.iter().enumerate() {
+            let mut live = lv.live_out[bi].clone();
+            for pc in (b.start..b.end).rev() {
+                if let Some(d) = k.body[pc].def() {
+                    live.remove(d.index());
+                }
+                k.body[pc].for_each_use(|r| {
+                    live.insert(r.index());
+                });
+                for r in live.iter() {
+                    want[r] += 1;
+                }
+            }
+        }
+        assert_eq!(pressure(k, &cfg, &lv).live_len, want);
+    }
+
     fn straightline_kernel(n_chain: usize) -> Kernel {
         // r0 = 1; r1 = r0+1; ... long dependency chain: pressure stays tiny.
         let mut b = KernelBuilder::new("chain");
@@ -457,6 +493,7 @@ mod tests {
         let lv = liveness(&k, &cfg);
         let p = pressure(&k, &cfg, &lv);
         assert!(p.max_live_slots >= 40, "pressure {}", p.max_live_slots);
+        assert_live_len_is_per_step_count(&k);
     }
 
     #[test]
@@ -501,6 +538,7 @@ mod tests {
             })
             .count();
         assert!(lds > 0 && sts > 0);
+        assert_live_len_is_per_step_count(&k);
     }
 
     #[test]
@@ -553,5 +591,6 @@ mod tests {
             .unwrap();
         assert!(lv.live_in[header].contains(acc.index()));
         assert!(lv.live_in[header].contains(i.index()));
+        assert_live_len_is_per_step_count(&k);
     }
 }

@@ -22,6 +22,7 @@
 use crate::experiments::{run_cuda_with, run_opencl_with};
 use crate::pr::Pr;
 use gpucmp_benchmarks::{Scale, Verify};
+use gpucmp_ptx::Fnv;
 use gpucmp_runtime::FaultPlan;
 use gpucmp_sim::DeviceSpec;
 use gpucmp_trace::{dominant_counter, BenchReport, BenchRun, PrEntry, RUN_FAULT_SKIPPED, RUN_OK};
@@ -113,14 +114,8 @@ impl CampaignOptions {
 /// digits. Two campaigns produce the same fingerprint for a cell exactly
 /// when re-running it would reproduce the same row.
 pub fn input_fingerprint(opts: &CampaignOptions, bench: &str, device: &str, api: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&CAMPAIGN_MODEL_REV.to_le_bytes());
+    let mut h = Fnv::new();
+    h.bytes(&CAMPAIGN_MODEL_REV.to_le_bytes());
     for part in [
         match opts.scale {
             Scale::Quick => "quick",
@@ -130,17 +125,17 @@ pub fn input_fingerprint(opts: &CampaignOptions, bench: &str, device: &str, api:
         device,
         api,
     ] {
-        eat(part.as_bytes());
-        eat(b"|");
+        h.bytes(part.as_bytes());
+        h.bytes(b"|");
     }
     match opts.fault_seed {
         Some(seed) => {
-            eat(&seed.to_le_bytes());
-            eat(&opts.max_attempts.max(1).to_le_bytes());
+            h.bytes(&seed.to_le_bytes());
+            h.bytes(&opts.max_attempts.max(1).to_le_bytes());
         }
-        None => eat(b"no-faults"),
+        None => h.bytes(b"no-faults"),
     }
-    format!("{h:016x}")
+    format!("{:016x}", h.finish())
 }
 
 pub(crate) fn all_benchmarks(scale: Scale) -> Vec<Box<dyn gpucmp_benchmarks::Benchmark>> {
@@ -490,6 +485,26 @@ mod tests {
         assert_eq!(parsed.runs.len(), report.runs.len());
         assert_eq!(parsed.scale, "quick");
         assert_eq!(parsed.fault_seed, None);
+    }
+
+    #[test]
+    fn input_fingerprints_are_pinned() {
+        // Cached reports are keyed on these digests. They may change only
+        // together with a `CAMPAIGN_MODEL_REV` bump.
+        let opts = CampaignOptions::new(Scale::Quick);
+        assert_eq!(
+            input_fingerprint(&opts, "BFS", "GTX480", "CUDA"),
+            "c118dc5bd2666cdb"
+        );
+        let opts = CampaignOptions {
+            fault_seed: Some(42),
+            max_attempts: 1,
+            ..CampaignOptions::new(Scale::Quick)
+        };
+        assert_eq!(
+            input_fingerprint(&opts, "Sobel", "HD5870", "OpenCL"),
+            "2de1e6ff35a53dae"
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::fmt::Write as _;
 // Writer
 // ----------------------------------------------------------------------
 
-/// Serialize a case to `.kdsl` text.
+/// Render a case as `.kdsl` text.
 pub fn write_case(case: &FuzzCase) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "; minimized reproducer — replay with:");

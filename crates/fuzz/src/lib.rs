@@ -8,7 +8,7 @@
 //! front-ends and runs the result across execution tiers, simulator thread
 //! counts, memcheck modes and device models, asserting bit-equal memory,
 //! consistent `ExecStats`, and identical fault kind/site. On a mismatch
-//! the reducer ([`reduce`]) shrinks the case to a minimal reproducer and
+//! the reducer ([`mod@reduce`]) shrinks the case to a minimal reproducer and
 //! the runner ([`runner`]) writes it to `corpus/` as a replayable
 //! [`kdsl`] file.
 //!

@@ -44,7 +44,7 @@ const GMEM_SLACK: u64 = 64 * 1024;
 
 /// A deliberate result perturbation for mutation-testing the oracle
 /// itself: proves an injected divergence is caught, minimized and
-/// replayed (the acceptance criterion's "injected tier-divergence").
+/// replayed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MutateMode {
     /// Flip the low bit of byte 0 of buffer 0 in the cuda/decoded/8-thread

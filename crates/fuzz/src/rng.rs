@@ -6,6 +6,8 @@
 //! kernel on every toolchain and every future version of this crate's
 //! dependencies.
 
+use gpucmp_ptx::splitmix64;
+
 /// A SplitMix64 stream.
 #[derive(Clone, Debug)]
 pub struct Rng {
@@ -19,12 +21,9 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform value in `0..n` (`0` when `n == 0`).

@@ -54,7 +54,7 @@ fn injected_tier_divergence_is_caught_minimized_and_replayable() {
         minimized.stmt_count()
     );
 
-    // Serialize, re-parse, re-check: the corpus format preserves the bug.
+    // Write, re-parse, re-check: the corpus format preserves the bug.
     let text = kdsl::write_case(&minimized);
     let back = kdsl::load_case(&text).expect("minimized case parses");
     let replayed = oracle

@@ -1,4 +1,5 @@
-//! Stable content hashing for kernels.
+//! Stable content hashing for kernels, and the workspace's shared
+//! hashing and seeded-randomness primitives.
 //!
 //! [`kernel_hash`] produces a 64-bit FNV-1a digest over *every* field of a
 //! [`Kernel`] — name, parameters, register declarations, instruction stream
@@ -14,22 +15,53 @@
 //! fixed one-byte tags, so the digest is independent of host endianness
 //! quirks in discriminant representation (all multi-byte scalars are fed
 //! in little-endian order).
+//!
+//! [`Fnv`] and [`splitmix64`] are the only FNV-1a and SplitMix64 in the
+//! workspace. Campaign-cell fingerprints, fault-plan case keys, retry
+//! jitter, soak traffic and the fuzzer's case stream all build on them, so
+//! their outputs are pinned by known-answer tests below: a change here
+//! would silently re-key every cache entry and replay schedule.
 
 use crate::inst::{Address, AtomOp, CmpOp, Inst, Op1, Op2, Op3, TexRef};
 use crate::kernel::Kernel;
 use crate::reg::{Operand, Reg, Special};
 use crate::ty::{Space, Ty};
 
+/// One SplitMix64 step: advance `state` and return the next output.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// 64-bit FNV-1a accumulator.
 #[derive(Clone, Copy, Debug)]
-struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn new() -> Self {
+    /// An empty FNV-1a 64 digest.
+    #[inline]
+    pub fn new() -> Self {
         Fnv(Self::OFFSET)
+    }
+
+    /// An FNV-1a 64 digest whose offset basis is XORed with `seed`
+    /// (`seeded(0)` is plain FNV-1a).
+    #[inline]
+    pub fn seeded(seed: u64) -> Self {
+        Fnv(Self::OFFSET ^ seed)
     }
 
     #[inline]
@@ -38,10 +70,18 @@ impl Fnv {
         self.0 = self.0.wrapping_mul(Self::PRIME);
     }
 
-    fn bytes(&mut self, bs: &[u8]) {
+    /// Fold a byte string in.
+    #[inline]
+    pub fn bytes(&mut self, bs: &[u8]) {
         for &b in bs {
             self.byte(b);
         }
+    }
+
+    /// The digest so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
     }
 
     fn u32(&mut self, v: u32) {
@@ -340,7 +380,7 @@ pub fn kernel_hash(k: &Kernel) -> u64 {
     h.u32(k.shared_bytes);
     h.u32(k.local_bytes);
     h.u32(k.phys_regs);
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]
@@ -372,6 +412,26 @@ mod tests {
             Inst::Ret,
         ];
         k
+    }
+
+    #[test]
+    fn splitmix64_known_answers() {
+        let mut s = 0;
+        assert_eq!(splitmix64(&mut s), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(&mut s), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(splitmix64(&mut s), 0x06c4_5d18_8009_454f);
+    }
+
+    #[test]
+    fn fnv1a_known_answers() {
+        let digest = |s: &str| {
+            let mut h = Fnv::new();
+            h.bytes(s.as_bytes());
+            h.finish()
+        };
+        assert_eq!(digest(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

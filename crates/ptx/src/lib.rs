@@ -41,7 +41,7 @@ pub mod ty;
 pub mod validate;
 
 pub use builder::KernelBuilder;
-pub use hash::kernel_hash;
+pub use hash::{kernel_hash, splitmix64, Fnv};
 pub use inst::{Address, AtomOp, CmpOp, Inst, Op1, Op2, Op3, TexRef};
 pub use kernel::{ConstSegment, Kernel, LabelId, Module, Param, ResolvedKernel};
 pub use reg::{Operand, Reg, Special};

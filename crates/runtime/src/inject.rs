@@ -9,8 +9,10 @@
 //! Everything is a pure function of the seed: two sessions given the same
 //! plan fail at exactly the same call, so fault-injection campaigns are as
 //! reproducible as fault-free ones. There is no wall clock or host RNG
-//! anywhere — the splitmix64 stream below is the only randomness, and it
-//! is seeded explicitly.
+//! anywhere — a [`splitmix64`] stream is the only randomness, and it is
+//! seeded explicitly.
+
+use gpucmp_ptx::{splitmix64, Fnv};
 
 /// What the plan wants done to the current `h2d` call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,23 +65,6 @@ pub struct FaultPlan {
 /// Instruction budget used by [`FaultPlan::starve_launch`] triggers built
 /// from a seed: small enough that every real kernel trips the watchdog.
 pub const STARVED_BUDGET: u64 = 64;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(seed: u64, s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ seed;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 impl FaultPlan {
     /// A plan that injects nothing.
@@ -152,7 +137,9 @@ impl FaultPlan {
         if attempt > 0 {
             return FaultPlan::none();
         }
-        let mut s = fnv1a(seed, case);
+        let mut h = Fnv::seeded(seed);
+        h.bytes(case.as_bytes());
+        let mut s = h.finish();
         if splitmix64(&mut s) % 3 != 0 {
             return FaultPlan::none();
         }
@@ -211,6 +198,26 @@ mod tests {
             .map(|s| format!("{:?}", FaultPlan::from_seed(s)))
             .collect();
         assert!(distinct.len() > 4);
+    }
+
+    #[test]
+    fn case_plans_are_pinned() {
+        // A campaign's fault schedule must replay across versions: these
+        // plans are what `GPUCMP_FAULT_SEED=42` has always injected.
+        let plan = |case| FaultPlan::for_case(42, case, 0);
+        assert_eq!(
+            plan("BFS/GTX480/CUDA"),
+            FaultPlan::none().with_corrupt_h2d(2)
+        );
+        assert_eq!(
+            plan("BFS/GTX480/OpenCL"),
+            FaultPlan::none().with_starve_launch(2, STARVED_BUDGET)
+        );
+        assert_eq!(
+            plan("Scan/GTX480/CUDA"),
+            FaultPlan::none().with_fail_launch(0)
+        );
+        assert_eq!(plan("Sobel/HD5870/OpenCL"), FaultPlan::none());
     }
 
     #[test]

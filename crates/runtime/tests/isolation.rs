@@ -6,7 +6,7 @@
 //! server builds its isolation contract on.
 
 use gpucmp_compiler::{global_id_x, ld_global, DslKernel, Expr, KernelDef};
-use gpucmp_ptx::Ty;
+use gpucmp_ptx::{Fnv, Ty};
 use gpucmp_runtime::inject::FaultPlan;
 use gpucmp_runtime::{Cuda, Gpu, GpuExt, RtError};
 use gpucmp_sim::{DeviceSpec, LaunchConfig};
@@ -35,13 +35,6 @@ fn mad_kernel() -> KernelDef {
     k.finish()
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Run one session's full workload and fingerprint every readback.
 /// Deterministic in `seed`; independent of sibling sessions.
 fn run_session(seed: u64) -> u64 {
@@ -51,7 +44,7 @@ fn run_session(seed: u64) -> u64 {
     let out = gpu.alloc::<i32>(N_ELEMS as usize).unwrap();
     let data: Vec<i32> = (0..N_ELEMS as i32).map(|i| i ^ seed as i32).collect();
     gpu.h2d_t(input.into(), &data).unwrap();
-    let mut fp = 0xCBF2_9CE4_8422_2325u64;
+    let mut fp = Fnv::new();
     for iter in 0..ITERS {
         let cfg = LaunchConfig::builder()
             .grid(N_ELEMS / 128)
@@ -64,14 +57,11 @@ fn run_session(seed: u64) -> u64 {
         let outcome = gpu.launch(h, &cfg).unwrap();
         let bytes = gpu.d2h_buf(&out).unwrap();
         for v in &bytes {
-            fnv1a(&mut fp, &v.to_le_bytes());
+            fp.bytes(&v.to_le_bytes());
         }
-        fnv1a(
-            &mut fp,
-            &outcome.report.stats.lane_instructions.to_le_bytes(),
-        );
+        fp.bytes(&outcome.report.stats.lane_instructions.to_le_bytes());
     }
-    fp
+    fp.finish()
 }
 
 #[test]

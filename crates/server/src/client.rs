@@ -1,6 +1,7 @@
 //! The client: a blocking connection plus deadline-aware retry.
 //!
-//! The retry loop only ever retries [`ErrorKind::Busy`] — the one error
+//! The retry loop only ever retries
+//! [`ErrorKind::Busy`](crate::protocol::ErrorKind::Busy) — the one error
 //! class where waiting can help (a slot may free up). Quota violations,
 //! lost contexts and bad requests are returned immediately: retrying
 //! them without changing anything cannot succeed, and hammering a
@@ -13,6 +14,7 @@
 
 use crate::protocol::{read_frame, write_frame, Request, Response, ServerStats};
 use crate::server::ClientError;
+use gpucmp_ptx::splitmix64;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -43,14 +45,6 @@ impl Default for RetryPolicy {
             seed: 0x9E37_79B9,
         }
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

@@ -1,7 +1,7 @@
 //! The multi-tenant session service: protocol-level requests in, typed
 //! responses out, independent of any transport.
 //!
-//! One [`SessionService`] owns a [`SlotPool`](crate::pool::SlotPool) and
+//! One [`SessionService`] owns a [`SlotPool`] and
 //! maps wire-level session handles onto pooled slots. All policy lives
 //! here:
 //!
@@ -138,11 +138,22 @@ pub struct SessionService {
     traces: Mutex<Vec<TenantTrace>>,
 }
 
+/// Longest error message a reply carries, in bytes. Messages quote names
+/// the client sent, which may be as long as a frame's u16 string length
+/// allows; escaped and set in context they would overflow the reply's own
+/// message field, so [`err`] cuts every message to this length.
+const MAX_MESSAGE_BYTES: usize = 1024;
+
 fn err(kind: ErrorKind, message: impl Into<String>) -> Response {
-    Response::Error {
-        kind,
-        message: message.into(),
+    let mut message = message.into();
+    if message.len() > MAX_MESSAGE_BYTES {
+        let mut end = MAX_MESSAGE_BYTES;
+        while !message.is_char_boundary(end) {
+            end -= 1;
+        }
+        message.truncate(end);
     }
+    Response::Error { kind, message }
 }
 
 impl SessionService {
@@ -615,6 +626,14 @@ mod tests {
         assert_eq!(svc.handle(Request::Close { session: b }), Response::Closed);
         let _c = open(&svc, "t");
         assert_eq!(svc.stats().quota_rejections, 1);
+        // A tenant name that escapes to twice its length is quoted only in
+        // part, so the rejection still encodes.
+        let long = "\0".repeat(40_000);
+        let _d = open(&svc, &long);
+        let _e = open(&svc, &long);
+        let resp = svc.handle(Request::Open { tenant: long });
+        assert_eq!(Response::decode(&resp.encode()), Ok(resp.clone()));
+        assert_eq!(error_kind(resp), ErrorKind::QuotaExceeded);
     }
 
     #[test]
@@ -647,6 +666,15 @@ mod tests {
             bytes: 1 << 20,
         });
         assert!(matches!(resp, Response::Allocated { .. }), "{resp:?}");
+        // Over quota under a tenant name near the wire's u16 string limit:
+        // the rejection is cut to a bounded message and still encodes.
+        let long = open(&svc, &"\0".repeat(40_000));
+        let resp = svc.handle(Request::Alloc {
+            session: long,
+            bytes: (1 << 20) + 1,
+        });
+        assert_eq!(Response::decode(&resp.encode()), Ok(resp.clone()));
+        assert_eq!(error_kind(resp), ErrorKind::QuotaExceeded);
     }
 
     #[test]
@@ -839,6 +867,17 @@ mod tests {
             })),
             ErrorKind::UnknownKernel
         );
+        // A 65 500-byte name (near the wire's u16 string limit) is quoted
+        // only in part, cut on a char boundary, so the reply still encodes.
+        let resp = svc.handle(Request::Launch {
+            session: s,
+            kernel: format!("a{}a", "é".repeat(32_749)),
+            grid: 1,
+            block: 32,
+            params: vec![],
+        });
+        assert_eq!(Response::decode(&resp.encode()), Ok(resp.clone()));
+        assert_eq!(error_kind(resp), ErrorKind::UnknownKernel);
         assert_eq!(
             error_kind(svc.handle(Request::Launch {
                 session: s,

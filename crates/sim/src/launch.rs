@@ -8,10 +8,9 @@ use crate::mem::{DevPtr, GlobalMemory};
 use crate::stats::ExecStats;
 use crate::timing::{kernel_time, Timing};
 use gpucmp_ptx::ResolvedKernel;
-use serde::{Deserialize, Serialize};
 
 /// Three-dimensional launch extent (grid or block).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// X extent.
     pub x: u32,
@@ -56,7 +55,7 @@ impl From<(u32, u32)> for Dim3 {
 }
 
 /// A buffer bound to a texture slot (the runtime's `cudaBindTexture`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TexBinding {
     /// Base device pointer of the bound buffer.
     pub ptr: DevPtr,

@@ -4,7 +4,6 @@
 
 use crate::error::{FaultKind, SimError};
 use gpucmp_ptx::Space;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Natural-alignment check for a device access: every 2/4/8-byte access
@@ -19,7 +18,7 @@ pub(crate) fn check_aligned(space: Space, addr: u64, size: u32) -> Result<(), Fa
 }
 
 /// A device pointer: a byte offset into the device's global memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DevPtr(pub u64);
 
 impl DevPtr {
